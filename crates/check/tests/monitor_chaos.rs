@@ -3,12 +3,14 @@
 //! N waiters consume tickets that M notifiers produce, with a [`ChaosSched`]
 //! injecting yields/sleeps inside the exact windows where a lost wakeup
 //! would hide: between the waiter's monitor release and its park
-//! (`MonitorWaitPark`), and between the notifier's ticket publication and
-//! its `notifyAll` (`MonitorNotify`). The monitor's wait-generation
-//! protocol must guarantee that a notify issued after a waiter released the
-//! monitor but before it parked is still observed — if it is ever lost,
-//! the waiters hang and a watchdog aborts the test with a diagnosis instead
-//! of wedging the suite.
+//! (`MonitorWaitPark`), between the notifier's ticket publication and its
+//! `notifyAll` (`MonitorNotify`), and between a contended acquirer setting
+//! the lock word's `PARKED` bit and its condvar wait (`MonitorParkWindow`),
+//! where a release that saw the bit must still wake it. The monitor's
+//! wait-generation protocol must guarantee that a notify issued after a
+//! waiter released the monitor but before it parked is still observed — if
+//! it is ever lost, the waiters hang and a watchdog aborts the test with a
+//! diagnosis instead of wedging the suite.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,7 +59,9 @@ fn with_watchdog(done: Arc<AtomicBool>, what: &'static str) -> impl Drop {
     Disarm(done)
 }
 
-fn run_ticket_exchange(seed: u64, waiters: usize, notifiers: usize, tickets_each: u64) {
+/// Runs the exchange and returns how often a thread stopped in the
+/// `PARKED`-set park window.
+fn run_ticket_exchange(seed: u64, waiters: usize, notifiers: usize, tickets_each: u64) -> usize {
     let threads = waiters + notifiers + 1; // +1: the shutdown "closer" thread
     let mut cfg = RuntimeConfig::builder()
         .max_threads(threads)
@@ -66,7 +70,8 @@ fn run_ticket_exchange(seed: u64, waiters: usize, notifiers: usize, tickets_each
         .build();
     cfg.monitor_spin_iters = 4; // park early: the parking windows are the test
     let mut rt = Runtime::new(cfg);
-    rt.set_sched_hooks(Arc::new(ChaosSched::new(seed, threads)));
+    let sched = Arc::new(ChaosSched::new(seed, threads));
+    rt.set_sched_hooks(sched.clone());
     let rt = Arc::new(rt);
 
     let m = MonitorId(0);
@@ -152,13 +157,24 @@ fn run_ticket_exchange(seed: u64, waiters: usize, notifiers: usize, tickets_each
         "seed {seed:#x}: every produced ticket must be consumed exactly once"
     );
     assert_eq!(tickets.load(Ordering::Relaxed), 0);
+    sched
+        .take_traces()
+        .iter()
+        .flatten()
+        .filter(|step| step.point == SchedPoint::MonitorParkWindow)
+        .count()
 }
 
 #[test]
 fn no_lost_wakeups_across_chaos_seeds() {
-    for seed in [0x11u64, 0x22, 0x33, 0xABCDE] {
-        run_ticket_exchange(seed, 3, 2, 40);
-    }
+    let park_windows: Vec<usize> = [0x11u64, 0x22, 0x33, 0xABCDE]
+        .into_iter()
+        .map(|seed| run_ticket_exchange(seed, 3, 2, 40))
+        .collect();
+    assert!(
+        park_windows.iter().sum::<usize>() > 0,
+        "no seed reached the PARKED park window: {park_windows:?}"
+    );
 }
 
 #[test]

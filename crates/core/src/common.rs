@@ -219,8 +219,23 @@ impl<S: Support> EngineCommon<S> {
         let obj = self.rt.obj(o);
         let state = obj.state();
         let mut cur = state.load(Ordering::Acquire);
+        let mut spin = None;
         loop {
             let w = StateWord(cur);
+            if S::PREPUBLISH && w.is_int() {
+                // A second reader is joining our read lock
+                // (`RdEx*/WrExRLock(T) → RdShRLock(2)`) and has parked the
+                // word at `Int(T2)` while its support hook runs. The state it
+                // publishes still counts our hold, so wait for it instead of
+                // unlocking the `Int` word. The window's hook never waits on
+                // a flushing thread, so this wait is short.
+                spin.get_or_insert_with(|| {
+                    self.rt.spinner("lock-buffer flush: pre-publish window")
+                })
+                .spin();
+                cur = state.load(Ordering::Acquire);
+                continue;
+            }
             debug_assert!(
                 w.is_pess_locked(),
                 "lock buffer entry {o:?} not locked: {w:?}"

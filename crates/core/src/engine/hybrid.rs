@@ -1083,6 +1083,7 @@ impl<S: Support> Tracker for HybridEngine<S> {
 mod tests {
     use super::*;
     use drink_runtime::RuntimeConfig;
+    use std::sync::atomic::AtomicBool;
 
     fn engine_with(policy: PolicyParams) -> HybridEngine {
         HybridEngine::with_config(
@@ -1242,6 +1243,106 @@ mod tests {
         assert_eq!(r.pess_contended(), 0, "well-synchronized ⇒ no contention");
         assert_eq!(r.get(Event::PessReentrant), 1);
         assert!(r.pess_uncontended() >= 2);
+    }
+
+    /// A pre-publishing support whose RdSh-creation hook holds the `Int`
+    /// window open until the test says the holder is flushing.
+    struct StallRdShCreate {
+        in_window: AtomicBool,
+        flushing: AtomicBool,
+    }
+
+    impl Support for StallRdShCreate {
+        const PREPUBLISH: bool = true;
+
+        fn on_transition(&self, cx: SupportCx<'_>, _obj: ObjId, ev: TransitionEv<'_>) {
+            if matches!(ev, TransitionEv::RdShCreate { .. }) {
+                self.in_window.store(true, Ordering::SeqCst);
+                let mut spin = cx.rt.spinner("holder to start its flush");
+                while !self.flushing.load(Ordering::SeqCst) {
+                    spin.spin();
+                }
+                // Let the holder's flush reach the Int word.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+        }
+    }
+
+    /// Sets the flag when dropped, so a panicking main thread still
+    /// releases the scoped reader.
+    struct SetOnDrop<'a>(&'a AtomicBool);
+
+    impl Drop for SetOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn flush_waits_out_a_second_readers_prepublish_window() {
+        // T0 holds WrExRLock(T0) in its lock buffer. T1's read joins it
+        // (→ RdShRLock(2)) and, pre-publishing, parks the word at Int(T1)
+        // while its hook runs. T0's PSRO flush lands in that window: it
+        // must wait for T1's publish and then drop only its own share.
+        let sup = StallRdShCreate {
+            in_window: AtomicBool::new(false),
+            flushing: AtomicBool::new(false),
+        };
+        let e = HybridEngine::with_config(
+            Arc::new(Runtime::new(
+                RuntimeConfig::builder()
+                    .max_threads(4)
+                    .heap_objects(8)
+                    .monitors(1)
+                    .build(),
+            )),
+            sup,
+            HybridConfig::default(),
+        );
+        let state = |o: ObjId| StateWord(e.rt().obj(o).state().load(Ordering::SeqCst));
+        let sup = &e.common().support;
+        let t0 = e.attach();
+        let o = ObjId(3);
+        let m = MonitorId(0);
+        e.alloc_init(o, t0);
+        e.rt().obj(o).state().store(
+            StateWord::wr_ex_pess(t0, LockMode::Unlocked).0,
+            Ordering::SeqCst,
+        );
+        let _ = e.read(t0, o);
+        assert_eq!(state(o), StateWord::wr_ex_pess(t0, LockMode::Read));
+
+        let checked = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let t1 = e.attach();
+                let _ = e.read(t1, o);
+                // Keep T1's share until the main thread has looked at it.
+                let mut spin = e.rt().spinner("main thread to check the share count");
+                while !checked.load(Ordering::SeqCst) {
+                    spin.spin();
+                }
+                e.detach(t1);
+            });
+            let _release_reader = SetOnDrop(&checked);
+            let mut spin = e.rt().spinner("second reader to enter its window");
+            while !sup.in_window.load(Ordering::SeqCst) {
+                spin.spin();
+            }
+            assert!(state(o).is_int(), "T1 parks the word: {:?}", state(o));
+            sup.flushing.store(true, Ordering::SeqCst);
+            e.lock(t0, m);
+            e.unlock(t0, m); // PSRO → flush, inside T1's window
+            let w = state(o);
+            assert_eq!(
+                (w.kind(), w.read_locks()),
+                (Kind::RdSh, 1),
+                "T1's share remains: {w:?}"
+            );
+        });
+        e.detach(t0);
+        let w = state(o);
+        assert!(!w.is_int() && !w.is_pess_locked(), "quiescent state: {w:?}");
     }
 
     #[test]

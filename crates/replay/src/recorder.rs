@@ -49,10 +49,21 @@ fn unpack(word: u64) -> Option<(ThreadId, u64)> {
     }
 }
 
+/// One thread's recording state.
+#[derive(Default)]
+struct ThreadRecord {
+    log: ThreadLog,
+    /// `waited[src]`: the highest clock of `src` this thread has already
+    /// logged a wait for. Clocks only grow and a thread's waits replay in
+    /// program order, so a later wait for a clock at or below it is implied
+    /// by the earlier one and is not logged.
+    waited: Vec<u64>,
+}
+
 struct RecorderShared {
-    /// Per-thread logs. Mutex-protected but effectively thread-private
-    /// (contended only at final collection).
-    logs: Box<[Mutex<ThreadLog>]>,
+    /// Per-thread recording state. Mutex-protected but effectively
+    /// thread-private (contended only at final collection).
+    logs: Box<[Mutex<ThreadRecord>]>,
     /// Per-object last-transition entry.
     side_table: Box<[AtomicU64]>,
     /// Last RdSh creation globally (the explicit form of Octet's
@@ -88,7 +99,7 @@ impl Recorder {
         Recorder {
             inner: Arc::new(RecorderShared {
                 logs: (0..threads)
-                    .map(|_| Mutex::new(ThreadLog::default()))
+                    .map(|_| Mutex::new(ThreadRecord::default()))
                     .collect::<Vec<_>>()
                     .into_boxed_slice(),
                 side_table: (0..objects)
@@ -117,7 +128,7 @@ impl Recorder {
     pub fn into_log(self) -> RecordingLog {
         let inner = self.inner;
         RecordingLog {
-            threads: inner.logs.iter().map(|m| m.lock().clone()).collect(),
+            threads: inner.logs.iter().map(|m| m.lock().log.clone()).collect(),
             recorder: inner.name.to_string(),
         }
     }
@@ -129,16 +140,24 @@ impl Recorder {
         let clock = cx.rt.control(cx.t).bump_release_clock();
         self.inner.logs[cx.t.index()]
             .lock()
+            .log
             .push_transition_bump(cx.op);
         clock
     }
 
     fn wait_for(&self, cx: &SupportCx<'_>, src: ThreadId, clock: u64) {
-        if src != cx.t && clock > 0 {
-            self.inner.logs[cx.t.index()]
-                .lock()
-                .push_wait(cx.op, src, clock);
+        if src == cx.t || clock == 0 {
+            return;
         }
+        let mut rec = self.inner.logs[cx.t.index()].lock();
+        if rec.waited.len() <= src.index() {
+            rec.waited.resize(src.index() + 1, 0);
+        }
+        if clock <= rec.waited[src.index()] {
+            return;
+        }
+        rec.waited[src.index()] = clock;
+        rec.log.push_wait(cx.op, src, clock);
     }
 
     /// Record this transition in the object's side table (and return the
@@ -223,11 +242,11 @@ impl Support for Recorder {
 
     fn on_release(&self, cx: SupportCx<'_>, _clock: u64) {
         // The engine already bumped the clock; mirror it into the log.
-        self.inner.logs[cx.t.index()].lock().push_bump(cx.op);
+        self.inner.logs[cx.t.index()].lock().log.push_bump(cx.op);
     }
 
     fn on_responded(&self, cx: SupportCx<'_>, _clock: u64) {
-        self.inner.logs[cx.t.index()].lock().push_bump(cx.op);
+        self.inner.logs[cx.t.index()].lock().log.push_bump(cx.op);
     }
 
     fn on_monitor_acquire(
@@ -384,6 +403,35 @@ mod tests {
         rec.on_monitor_acquire(cx1, MonitorId(0), Some((t0, 3)));
         let log = rec.into_log();
         assert_eq!(log.threads[t1.index()].sinks[0].waits, vec![(t0, 3)]);
+        assert_eq!(log.validate(), Ok(()));
+    }
+
+    #[test]
+    fn waits_implied_by_an_earlier_wait_are_not_logged() {
+        let rt = Runtime::new(RuntimeConfig::default());
+        let t0 = rt.register_thread();
+        let t1 = rt.register_thread();
+        let rec = Recorder::new(4, 8, "test", 1);
+        let cx0 = SupportCx { rt: &rt, t: t0, op: 0 };
+        for c in 1..=5 {
+            rec.on_release(cx0, c);
+        }
+        let acquire = |op, clock| {
+            let cx1 = SupportCx { rt: &rt, t: t1, op };
+            rec.on_monitor_acquire(cx1, MonitorId(0), Some((t0, clock)));
+        };
+        acquire(1, 3);
+        // Already covered by the wait for t0@3 at op 1.
+        acquire(2, 3);
+        acquire(3, 2);
+        // A newer clock is a new edge.
+        acquire(4, 5);
+        let log = rec.into_log();
+        let sinks = &log.threads[t1.index()].sinks;
+        assert_eq!(sinks.len(), 2);
+        assert_eq!((sinks[0].op, sinks[0].waits.clone()), (1, vec![(t0, 3)]));
+        assert_eq!((sinks[1].op, sinks[1].waits.clone()), (4, vec![(t0, 5)]));
+        assert_eq!(log.total_edges(), 2);
         assert_eq!(log.validate(), Ok(()));
     }
 }

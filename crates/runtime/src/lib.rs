@@ -70,6 +70,10 @@ pub enum SchedPoint {
     MonitorAcquireSpin,
     /// About to park on a contended monitor acquire (BLOCKED published).
     MonitorPark,
+    /// A monitor parker has set the lock word's `PARKED` bit and is about to
+    /// wait on the condvar, still holding the slow-path mutex (DESIGN.md
+    /// §16). A release that saw the bit must not notify before the wait.
+    MonitorParkWindow,
     /// Woke from a monitor park (acquire or wait), back to RUNNING.
     MonitorUnpark,
     /// About to make a monitor release visible (PSRO hook already ran).

@@ -11,12 +11,20 @@
 //!   safe point*: the thread publishes BLOCKED so other threads can
 //!   coordinate with it implicitly (§2.2).
 //!
-//! The monitor also remembers, under its internal lock, the last releasing
+//! A monitor is a thin lock (DESIGN.md §16): one lock word holds the holder
+//! and a `PARKED` bit, so an uncontended acquire is one CAS and the
+//! outermost release is one swap. The mutex and condition variables behind
+//! it are touched only by threads that park and by a release that finds
+//! `PARKED` set.
+//!
+//! The monitor also remembers, as data the lock protects, the last releasing
 //! thread and that thread's release clock. Recorders read this at acquire
 //! time to log the synchronization happens-before edge, which lets the
 //! replayer elide monitor operations entirely and still preserve mutual
 //! exclusion (§7.6: "the replayer elides program synchronization operations
 //! and replays only the recorded dependences").
+
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -25,14 +33,24 @@ use crate::ids::ThreadId;
 use crate::spin::{park_budget, DEFAULT_BUDGET};
 use crate::{RtHooks, SchedPoint};
 
+/// Lock-word bit: a thread has parked (or is about to) on `acquire_cv`, so
+/// the release that clears the word must wake one parker.
+const PARKED: u64 = 1 << 63;
+
+/// Lock-word holder field for thread `t`: its id plus one, so that a free
+/// monitor's word is exactly `0`.
+#[inline(always)]
+fn holder_bits(t: ThreadId) -> u64 {
+    t.raw() as u64 + 1
+}
+
+/// State of the slow path, guarded by [`Monitor::slow`].
 #[derive(Debug, Default)]
-struct MonState {
-    /// Current holder, if any.
-    held_by: Option<ThreadId>,
-    /// Reentrancy depth of the holder.
-    recursion: u32,
-    /// Last releasing thread and its release clock at release time.
-    last_release: Option<(ThreadId, u64)>,
+struct SlowState {
+    /// Threads in the contended-acquire park loop, parked or about to park.
+    parked: u32,
+    /// Threads inside `wait` waiting for a notify.
+    waiting: u32,
     /// Wait-set generation, used by `wait`/`notify_all` to avoid stealing
     /// wakeups across distinct waits.
     wait_generation: u64,
@@ -52,21 +70,17 @@ pub struct AcquireInfo {
     pub reentrant: bool,
 }
 
-enum TryAcquire {
-    Taken(AcquireInfo),
-    Contended,
-}
-
 /// Park on `cv` until `ready(&st)` holds, with the same watchdog contract as
 /// [`crate::spin::Spin`]: condvar parks are the one wait a spinner cannot
 /// cover, and a parked thread whose wake-up depends on a peer that died
 /// mid-protocol would hang the process silently. With the watchdog disabled
-/// (zero budget) this is a plain condition-variable loop.
+/// (zero budget) this is a plain condition-variable loop. `ready` runs once
+/// per wake-up, so it may act (take the lock) when it returns `true`.
 fn park_until(
     cv: &Condvar,
-    st: &mut MutexGuard<'_, MonState>,
+    st: &mut MutexGuard<'_, SlowState>,
     what: &'static str,
-    mut ready: impl FnMut(&MonState) -> bool,
+    mut ready: impl FnMut(&SlowState) -> bool,
 ) {
     let budget = park_budget(DEFAULT_BUDGET);
     let mut started = None;
@@ -75,13 +89,13 @@ fn park_until(
             None => cv.wait(st),
             Some(b) => {
                 let t0 = *started.get_or_insert_with(std::time::Instant::now);
-                cv.wait_for(st, b);
-                if !ready(st) && t0.elapsed() >= b {
+                if t0.elapsed() >= b {
                     panic!(
                         "park watchdog expired after {:?} while waiting for: {what}",
                         t0.elapsed()
                     );
                 }
+                cv.wait_for(st, b);
             }
         }
     }
@@ -90,7 +104,21 @@ fn park_until(
 /// A reentrant program monitor with wait/notify.
 #[derive(Debug)]
 pub struct Monitor {
-    state: Mutex<MonState>,
+    /// The thin-lock word: `0` when free, else the holder's
+    /// [`holder_bits`], plus [`PARKED`].
+    word: AtomicU64,
+    /// Reentrancy depth of the holder. Protected by the lock: only the
+    /// holder reads or writes it, so `Relaxed` accesses suffice.
+    recursion: AtomicU32,
+    /// Last releasing thread's [`holder_bits`] (`0`: never released) and its
+    /// release clock. Protected by the lock: the holder writes them before
+    /// the `Release` swap that frees the word, and the next holder reads
+    /// them after its `Acquire` CAS.
+    last_releaser: AtomicU32,
+    last_clock: AtomicU64,
+    /// The slow path: taken only to park, and by a release that saw
+    /// `PARKED`.
+    slow: Mutex<SlowState>,
     acquire_cv: Condvar,
     wait_cv: Condvar,
 }
@@ -105,46 +133,93 @@ impl Monitor {
     /// A fresh, unheld monitor.
     pub fn new() -> Self {
         Monitor {
-            state: Mutex::new(MonState::default()),
+            word: AtomicU64::new(0),
+            recursion: AtomicU32::new(0),
+            last_releaser: AtomicU32::new(0),
+            last_clock: AtomicU64::new(0),
+            slow: Mutex::new(SlowState::default()),
             acquire_cv: Condvar::new(),
             wait_cv: Condvar::new(),
         }
     }
 
-    /// One attempt to take the monitor without waiting.
-    fn try_acquire(&self, t: ThreadId) -> TryAcquire {
-        let mut st = self.state.lock();
-        match st.held_by {
-            None => {
-                st.held_by = Some(t);
-                st.recursion = 1;
-                TryAcquire::Taken(AcquireInfo {
-                    blocked: false,
-                    implicit_bumped: false,
-                    prev_release: st.last_release,
-                    reentrant: false,
-                })
-            }
-            Some(holder) if holder == t => {
-                st.recursion += 1;
-                TryAcquire::Taken(AcquireInfo {
-                    blocked: false,
-                    implicit_bumped: false,
-                    prev_release: st.last_release,
-                    reentrant: true,
-                })
-            }
-            Some(_) => TryAcquire::Contended,
-        }
+    /// Free the held word with one `Release` swap, after recording the
+    /// release, and report whether a parker asked to be woken.
+    fn release_word(&self, t: ThreadId, clock: u64) -> bool {
+        self.last_clock.store(clock, Ordering::Relaxed);
+        self.last_releaser
+            .store(holder_bits(t) as u32, Ordering::Relaxed);
+        self.word.swap(0, Ordering::Release) & PARKED != 0
     }
 
-    /// Acquire the monitor for `t`. Uncontended acquires never touch the
-    /// thread status word. Contended acquires first *spin* for up to
-    /// `spin_iters` iterations — remaining a RUNNING thread and polling safe
-    /// points, like a JVM thin lock — and only then run the full
-    /// blocking-safe-point protocol around parking. (The spin phase matters
-    /// to the tracking protocols: a spinning waiter answers coordination
-    /// requests *explicitly*, a parked one is coordinated with *implicitly*.)
+    /// The fast path: one CAS takes a free monitor, and a held-by-`t` word
+    /// makes the acquire reentrant. `None` when another thread holds it.
+    #[inline]
+    pub(crate) fn try_acquire(&self, t: ThreadId) -> Option<AcquireInfo> {
+        let me = holder_bits(t);
+        let cas = self
+            .word
+            .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed);
+        let depth = match cas {
+            Ok(_) => 1,
+            Err(w) if w & !PARKED == me => self.recursion.load(Ordering::Relaxed) + 1,
+            Err(_) => return None,
+        };
+        self.recursion.store(depth, Ordering::Relaxed);
+        Some(AcquireInfo {
+            blocked: false,
+            implicit_bumped: false,
+            prev_release: self.last_release(),
+            reentrant: depth > 1,
+        })
+    }
+
+    /// One slow-path attempt, with `slow` held: take the free word, or set
+    /// `PARKED` on the held one so its release wakes a parker. A taker keeps
+    /// `PARKED` set while `others_parked`, so their turn still comes.
+    fn take_or_mark_parked<H: RtHooks>(&self, t: ThreadId, others_parked: bool, hooks: &H) -> bool {
+        let mut w = self.word.load(Ordering::Relaxed);
+        loop {
+            let next = match w {
+                0 if others_parked => holder_bits(t) | PARKED,
+                0 => holder_bits(t),
+                _ => w | PARKED,
+            };
+            if next == w {
+                break;
+            }
+            match self
+                .word
+                .compare_exchange_weak(w, next, Ordering::Acquire, Ordering::Relaxed)
+            {
+                Ok(_) if w == 0 => return true,
+                Ok(_) => break,
+                Err(cur) => w = cur,
+            }
+        }
+        // PARKED is set and `slow` stays held until the condvar wait drops
+        // it: a release that saw the bit cannot notify before we wait.
+        hooks.sched_point(t, SchedPoint::MonitorParkWindow);
+        false
+    }
+
+    /// Park on `acquire_cv` (with `slow` held) until `t` takes the monitor.
+    fn park_acquire<H: RtHooks>(
+        &self,
+        t: ThreadId,
+        slow: &mut MutexGuard<'_, SlowState>,
+        hooks: &H,
+        what: &'static str,
+    ) {
+        slow.parked += 1;
+        park_until(&self.acquire_cv, slow, what, |s| {
+            self.take_or_mark_parked(t, s.parked > 1, hooks)
+        });
+        slow.parked -= 1;
+    }
+
+    /// Acquire the monitor for `t`: one CAS if it is free or reentrant,
+    /// else spin and then park (see `acquire_contended`).
     pub fn acquire<H: RtHooks>(
         &self,
         t: ThreadId,
@@ -153,10 +228,26 @@ impl Monitor {
         spin_iters: u32,
     ) -> AcquireInfo {
         match self.try_acquire(t) {
-            TryAcquire::Taken(info) => return info,
-            TryAcquire::Contended => {}
+            Some(info) => info,
+            None => self.acquire_contended(t, control, hooks, spin_iters),
         }
+    }
 
+    /// Acquire a monitor that [`Monitor::try_acquire`] found held by another
+    /// thread. Uncontended acquires never get here, so they never touch the
+    /// thread status word. A contended acquire first *spins* for up to
+    /// `spin_iters` iterations — remaining a RUNNING thread and polling safe
+    /// points, like a JVM thin lock — and only then runs the full
+    /// blocking-safe-point protocol around parking. (The spin phase matters
+    /// to the tracking protocols: a spinning waiter answers coordination
+    /// requests *explicitly*, a parked one is coordinated with *implicitly*.)
+    pub(crate) fn acquire_contended<H: RtHooks>(
+        &self,
+        t: ThreadId,
+        control: &ThreadControl,
+        hooks: &H,
+        spin_iters: u32,
+    ) -> AcquireInfo {
         // Spin phase: keep responding to coordination while waiting. Yield
         // periodically so the holder can run on oversubscribed machines.
         for i in 0..spin_iters {
@@ -167,8 +258,10 @@ impl Monitor {
             } else {
                 core::hint::spin_loop();
             }
-            if let TryAcquire::Taken(info) = self.try_acquire(t) {
-                return info;
+            if self.word.load(Ordering::Relaxed) == 0 {
+                if let Some(info) = self.try_acquire(t) {
+                    return info;
+                }
             }
         }
 
@@ -180,16 +273,9 @@ impl Monitor {
         hooks.on_blocked_publish(t);
         hooks.sched_point(t, SchedPoint::MonitorPark);
 
-        let prev_release;
-        {
-            let mut st = self.state.lock();
-            park_until(&self.acquire_cv, &mut st, "contended monitor acquire", |s| {
-                s.held_by.is_none()
-            });
-            st.held_by = Some(t);
-            st.recursion = 1;
-            prev_release = st.last_release;
-        }
+        self.park_acquire(t, &mut self.slow.lock(), hooks, "contended monitor acquire");
+        self.recursion.store(1, Ordering::Relaxed);
+        let prev_release = self.last_release();
 
         let implicit_bumped = control.return_to_running(block_epoch);
         hooks.after_unblock(t, implicit_bumped);
@@ -213,13 +299,13 @@ impl Monitor {
         hooks.on_psro(t);
         let clock = control.release_clock();
         hooks.sched_point(t, SchedPoint::MonitorRelease);
-        let mut st = self.state.lock();
-        assert_eq!(st.held_by, Some(t), "release of monitor not held by {t}");
-        st.recursion -= 1;
-        if st.recursion == 0 {
-            st.held_by = None;
-            st.last_release = Some((t, clock));
-            drop(st);
+        assert_eq!(self.holder(), Some(t), "release of monitor not held by {t}");
+        let depth = self.recursion.load(Ordering::Relaxed) - 1;
+        self.recursion.store(depth, Ordering::Relaxed);
+        if depth == 0 && self.release_word(t, clock) {
+            // The parker set PARKED holding `slow` and keeps it until it
+            // waits, so once we hold `slow` the notify cannot be lost.
+            drop(self.slow.lock());
             self.acquire_cv.notify_one();
         }
     }
@@ -241,26 +327,24 @@ impl Monitor {
 
         let prev_release;
         {
-            let mut st = self.state.lock();
-            assert_eq!(st.held_by, Some(t), "wait on monitor not held by {t}");
-            let saved_recursion = st.recursion;
-            st.held_by = None;
-            st.recursion = 0;
-            st.last_release = Some((t, clock));
-            let my_generation = st.wait_generation;
-            self.acquire_cv.notify_one();
+            let mut slow = self.slow.lock();
+            assert_eq!(self.holder(), Some(t), "wait on monitor not held by {t}");
+            let saved_recursion = self.recursion.load(Ordering::Relaxed);
+            let my_generation = slow.wait_generation;
+            // We hold `slow`, so a parker that set PARKED is already waiting.
+            if self.release_word(t, clock) {
+                self.acquire_cv.notify_one();
+            }
 
-            // Park until a notify advances the generation.
-            park_until(&self.wait_cv, &mut st, "monitor notify", |s| {
+            // Park until a notify advances the generation, then re-acquire.
+            slow.waiting += 1;
+            park_until(&self.wait_cv, &mut slow, "monitor notify", |s| {
                 s.wait_generation != my_generation
             });
-            // Re-acquire.
-            park_until(&self.acquire_cv, &mut st, "monitor re-acquire after wait", |s| {
-                s.held_by.is_none()
-            });
-            st.held_by = Some(t);
-            st.recursion = saved_recursion;
-            prev_release = st.last_release;
+            slow.waiting -= 1;
+            self.park_acquire(t, &mut slow, hooks, "monitor re-acquire after wait");
+            self.recursion.store(saved_recursion, Ordering::Relaxed);
+            prev_release = self.last_release();
         }
 
         let implicit_bumped = control.return_to_running(block_epoch);
@@ -277,23 +361,37 @@ impl Monitor {
 
     /// `Object.notifyAll()`: wake every waiter. The caller should hold the
     /// monitor (as in Java), but this is not enforced — some lock-free
-    /// shutdown patterns notify without holding.
+    /// shutdown patterns notify without holding. The generation always
+    /// advances; the condvar is signalled only when someone waits.
     pub fn notify_all(&self) {
-        let mut st = self.state.lock();
-        st.wait_generation += 1;
-        drop(st);
-        self.wait_cv.notify_all();
+        let mut slow = self.slow.lock();
+        slow.wait_generation += 1;
+        let anyone_waiting = slow.waiting > 0;
+        drop(slow);
+        if anyone_waiting {
+            self.wait_cv.notify_all();
+        }
     }
 
     /// Current holder (diagnostic; racy by nature).
     pub fn holder(&self) -> Option<ThreadId> {
-        self.state.lock().held_by
+        match self.word.load(Ordering::Relaxed) & !PARKED {
+            0 => None,
+            bits => Some(ThreadId((bits - 1) as u16)),
+        }
     }
 
-    /// Last releaser and its clock (diagnostic / recorder use outside the
-    /// acquire path).
+    /// Last releaser and its clock. Exact for the holder (the acquire path
+    /// reads it into [`AcquireInfo::prev_release`]) and for a caller ordered
+    /// after the last release; racy for anyone else.
     pub fn last_release(&self) -> Option<(ThreadId, u64)> {
-        self.state.lock().last_release
+        match self.last_releaser.load(Ordering::Relaxed) {
+            0 => None,
+            bits => Some((
+                ThreadId((bits - 1) as u16),
+                self.last_clock.load(Ordering::Relaxed),
+            )),
+        }
     }
 }
 
@@ -330,7 +428,11 @@ mod tests {
         let info = m.acquire(ThreadId(0), &c[0], &NoHooks, 0);
         assert!(info.reentrant);
         m.release(ThreadId(0), &c[0], &NoHooks);
-        assert_eq!(m.holder(), Some(ThreadId(0)), "still held after inner release");
+        assert_eq!(
+            m.holder(),
+            Some(ThreadId(0)),
+            "still held after inner release"
+        );
         m.release(ThreadId(0), &c[0], &NoHooks);
         assert_eq!(m.holder(), None);
     }
@@ -341,6 +443,73 @@ mod tests {
         let m = Monitor::new();
         let c = controls(1);
         m.release(ThreadId(0), &c[0], &NoHooks);
+    }
+
+    #[test]
+    fn foreign_release_panics_and_keeps_the_holder() {
+        let m = Monitor::new();
+        let c = controls(2);
+        m.acquire(ThreadId(0), &c[0], &NoHooks, 0);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.release(ThreadId(1), &c[1], &NoHooks)
+        }))
+        .expect_err("a release by a non-holder must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.contains("release of monitor not held by T1"), "{msg}");
+        assert_eq!(m.holder(), Some(ThreadId(0)));
+        m.release(ThreadId(0), &c[0], &NoHooks);
+        assert_eq!(m.holder(), None);
+    }
+
+    #[test]
+    fn reentrant_hold_excludes_others_until_the_outermost_release() {
+        let m = Monitor::new();
+        let c = controls(2);
+        let (t0, t1) = (ThreadId(0), ThreadId(1));
+        for depth in 1..=3 {
+            let info = m.acquire(t0, &c[0], &NoHooks, 0);
+            assert_eq!(info.reentrant, depth > 1);
+        }
+        for _ in 0..2 {
+            m.release(t0, &c[0], &NoHooks);
+            assert_eq!(m.holder(), Some(t0), "an inner release keeps the monitor");
+            assert!(
+                m.try_acquire(t1).is_none(),
+                "another thread must not get in"
+            );
+        }
+        m.release(t0, &c[0], &NoHooks);
+        let info = m.try_acquire(t1).expect("free after the outermost release");
+        assert!(!info.reentrant);
+        assert_eq!(info.prev_release, Some((t0, 0)));
+        m.release(t1, &c[1], &NoHooks);
+    }
+
+    #[test]
+    fn prev_release_names_the_last_releaser_and_its_clock() {
+        let m = Monitor::new();
+        let c = controls(2);
+        let (t0, t1) = (ThreadId(0), ThreadId(1));
+        let clock = std::thread::scope(|s| {
+            s.spawn(|| {
+                c[1].bump_release_clock();
+                let clock = c[1].bump_release_clock();
+                m.acquire(t1, &c[1], &NoHooks, 0);
+                m.release(t1, &c[1], &NoHooks);
+                clock
+            })
+            .join()
+            .unwrap()
+        });
+        let info = m.acquire(t0, &c[0], &NoHooks, 0);
+        assert!(!info.blocked);
+        assert_eq!(info.prev_release, Some((t1, clock)));
+        assert_eq!(clock, 2);
+        m.release(t0, &c[0], &NoHooks);
+        assert_eq!(m.last_release(), Some((t0, 0)));
     }
 
     #[test]

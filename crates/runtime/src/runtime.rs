@@ -350,17 +350,24 @@ impl Runtime {
 
     // --- Monitor convenience wrappers ---
 
-    /// Acquire monitor `m` for thread `t` (see [`Monitor::acquire`]). Feeds
-    /// the acquire-latency histogram and the event trace; with neither
-    /// enabled the extra cost is two clock reads on a path that already
-    /// spins or parks.
+    /// Acquire monitor `m` for thread `t` (see [`Monitor::acquire`]). The
+    /// one-CAS fast path is tried first and costs no clock read; only an
+    /// acquire that finds the monitor held — one that spins or parks — is
+    /// timed into the acquire-latency histogram. Both feed the event trace.
     pub fn monitor_acquire<H: RtHooks>(&self, m: MonitorId, t: ThreadId, hooks: &H) -> AcquireInfo {
-        let t0 = Instant::now();
-        let info = self
-            .monitor(m)
-            .acquire(t, self.control(t), hooks, self.config.monitor_spin_iters);
-        self.stats
-            .record_latency(LatencyKind::MonitorAcquire, t0.elapsed().as_nanos() as u64);
+        let monitor = self.monitor(m);
+        let info = monitor.try_acquire(t).unwrap_or_else(|| {
+            let t0 = Instant::now();
+            let info = monitor.acquire_contended(
+                t,
+                self.control(t),
+                hooks,
+                self.config.monitor_spin_iters,
+            );
+            self.stats
+                .record_latency(LatencyKind::MonitorAcquire, t0.elapsed().as_nanos() as u64);
+            info
+        });
         let kind = if info.blocked {
             TraceKind::MonitorAcquireBlocked
         } else {
@@ -560,20 +567,51 @@ mod tests {
     #[test]
     fn monitor_acquire_records_latency_and_trace() {
         let rt = Runtime::new(
-            RuntimeConfig::builder().max_threads(2).monitors(1).trace_capacity(16).build(),
+            RuntimeConfig::builder()
+                .max_threads(2)
+                .monitors(1)
+                .trace_capacity(16)
+                .monitor_spin_iters(0)
+                .build(),
         );
-        let t = rt.register_thread();
-        rt.monitor_acquire(MonitorId(0), t, &NoHooks);
-        rt.monitor_release(MonitorId(0), t, &NoHooks);
+        let m = MonitorId(0);
+        let events = |t: ThreadId| -> Vec<TraceKind> {
+            rt.trace_snapshot().unwrap().threads[t.index()].events.iter().map(|e| e.kind).collect()
+        };
+
+        // Fast path: traced, but no histogram sample.
+        let t0 = rt.register_thread();
+        rt.monitor_acquire(m, t0, &NoHooks);
+        rt.monitor_release(m, t0, &NoHooks);
+        assert_eq!(rt.stats().report().latency(LatencyKind::MonitorAcquire).count(), 0);
+        assert_eq!(events(t0), vec![TraceKind::MonitorAcquireFast, TraceKind::MonitorRelease]);
+
+        // Contended: a second thread parks behind T0 and records one sample.
+        rt.monitor_acquire(m, t0, &NoHooks);
+        std::thread::scope(|s| {
+            let h = s.spawn(|| {
+                let t1 = rt.register_thread();
+                let info = rt.monitor_acquire(m, t1, &NoHooks);
+                rt.monitor_release(m, t1, &NoHooks);
+                (t1, info)
+            });
+            let mut spin = rt.spinner("T1 to block on the monitor");
+            while rt.registered_threads() < 2
+                || !matches!(rt.control(ThreadId(1)).status(), crate::control::ThreadStatus::Blocked { .. })
+            {
+                spin.spin();
+            }
+            rt.monitor_release(m, t0, &NoHooks);
+            let (t1, info) = h.join().unwrap();
+            assert!(info.blocked);
+            assert_eq!(
+                events(t1),
+                vec![TraceKind::MonitorAcquireBlocked, TraceKind::MonitorRelease]
+            );
+        });
         let report = rt.stats().report();
         assert_eq!(report.latency(LatencyKind::MonitorAcquire).count(), 1);
         assert!(report.latency(LatencyKind::MonitorAcquire).max() > 0);
-        let events: Vec<TraceKind> = rt.trace_snapshot().unwrap().threads[t.index()]
-            .events
-            .iter()
-            .map(|e| e.kind)
-            .collect();
-        assert_eq!(events, vec![TraceKind::MonitorAcquireFast, TraceKind::MonitorRelease]);
     }
 
     #[test]

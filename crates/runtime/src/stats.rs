@@ -323,7 +323,9 @@ pub enum LatencyKind {
     /// A whole RdSh fan-out (or sequential all-peer loop): entry to last
     /// peer resolved.
     FanoutComplete,
-    /// Monitor acquire, fast or blocked.
+    /// Monitor acquire that found the monitor held by another thread: spin
+    /// phase plus park, if any. The one-CAS fast path records no sample;
+    /// engines count it exactly as `Event::MonitorAcquireFast`.
     MonitorAcquire,
     /// Validation retries a seqlock read needed before it succeeded or fell
     /// back (recorded as a *count*, not nanoseconds — the log2 buckets work

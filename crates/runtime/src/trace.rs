@@ -526,6 +526,12 @@ mod tests {
                 i
             })
         };
+        // Start snapshotting only once the writer has published: on a loaded
+        // host it may not be scheduled before a fixed number of snapshots ends.
+        let mut spin = crate::spin::Spin::new("the writer's first record");
+        while ring.snapshot().is_empty() {
+            spin.spin();
+        }
         let mut checked = 0usize;
         for _ in 0..2000 {
             let snap = ring.snapshot();

@@ -120,6 +120,51 @@ fn monitor_spin_iters_zero_parks_immediately() {
     });
 }
 
+/// Threads × iterations of a relaxed load+store increment under one monitor:
+/// the count is exact only if the monitor excludes.
+fn count_under_monitor(threads: usize, spin_iters: u32, iters: u64) -> u64 {
+    let rt = Runtime::new(RuntimeConfig::builder()
+        .max_threads(threads)
+        .heap_objects(4)
+        .monitors(1)
+        .monitor_spin_iters(spin_iters)
+        .build());
+    let m = MonitorId(0);
+    let counter = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            let (rt, counter) = (&rt, &counter);
+            s.spawn(move || {
+                let t = rt.register_thread();
+                for _ in 0..iters {
+                    rt.monitor_acquire(m, t, &NoHooks);
+                    let v = counter.load(Ordering::Relaxed);
+                    counter.store(v + 1, Ordering::Relaxed);
+                    rt.monitor_release(m, t, &NoHooks);
+                }
+            });
+        }
+    });
+    assert_eq!(rt.monitor(m).holder(), None);
+    counter.load(Ordering::Relaxed)
+}
+
+#[test]
+fn thin_lock_excludes_when_parking_and_when_spinning() {
+    const ITERS: u64 = 3_000;
+    let default_spin = RuntimeConfig::default().monitor_spin_iters;
+    for threads in [2, 4] {
+        // Zero spin iterations: every contended acquire parks.
+        for spin_iters in [0, default_spin] {
+            assert_eq!(
+                count_under_monitor(threads, spin_iters, ITERS),
+                threads as u64 * ITERS,
+                "{threads} threads, {spin_iters} spin iterations"
+            );
+        }
+    }
+}
+
 #[test]
 fn reentrant_wait_preserves_recursion_depth() {
     let rt = Runtime::new(RuntimeConfig::builder()
